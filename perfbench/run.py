@@ -41,6 +41,10 @@ WORKERS_NOTE = (
     "note: work inside forked workers is visible only as workers.* main-process "
     "time and reaped-child CPU; no spans are recorded in worker processes"
 )
+CHILD_RSS_NOTE = (
+    "note: workers.child_peak_rss_mb is the process-lifetime maximum RSS over "
+    "reaped children (warm-up and untraced ops included), not a per-op figure"
+)
 
 
 def _import_program() -> None:
@@ -142,7 +146,8 @@ def traced_phase(
         values = tracer.layer_metrics(op)
         values.update(sample.stage_s)
         values["core.runner.engine_tax_s"] = sample.wall_s - sum(sample.stage_s.values())
-        # any reaped child counts towards ru_maxrss; only workers are ours
+        # a running maximum over every child reaped so far, warm-up and
+        # untraced ops included; only workers are forked, so 0 without them
         values["workers.child_peak_rss_mb"] = (
             children_peak_rss_mb() if values["workers.fanouts"] else 0.0
         )
@@ -211,6 +216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for label, ops in (("untraced", samples[::2]), ("traced", samples[1::2])):
                 print(f"  {label} op walls: " + " ".join(f"{s.wall_s:.3f}" for s in ops))
             print(WORKERS_NOTE)
+            print(CHILD_RSS_NOTE)
             print("per-layer metrics (median per traced op; *_s are self times):")
             print("\n".join(lines))
             for problem in problems:

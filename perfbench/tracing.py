@@ -26,21 +26,18 @@ import repro.core.runner
 import repro.durability
 import repro.durability.atomic
 import repro.io.shards
-from repro.core.backends import (
-    ExecutionBackend,
-    SerialBackend,
-    SimSPMDBackend,
-    ThreadedBackend,
-)
+from repro.core.backends import ExecutionBackend, SerialBackend
 from repro.core.runner import RunCheckpointer
 from repro.durability.journal import RunJournal
-from repro.io.compression import LzmaCodec, RawCodec, ZlibCodec
+from repro.io.compression import ZlibCodec
 from repro.transforms.regrid import Regridder
 from repro.workers.backend import ProcessBackend
 from repro.workers.supervisor import WorkerSupervisor
 
 #: (owner, attribute, span name): every wrapper the traced run installs.
 #: Module-level functions are patched in the module whose code calls them.
+#: Only the serial and process backends and the zlib codec are wrapped:
+#: they are the ones the workloads run.
 TARGETS: Tuple[Tuple[Any, str, str], ...] = (
     (RunCheckpointer, "save", "core.runner.checkpoint_save"),
     (RunCheckpointer, "load", "core.runner.checkpoint_load"),
@@ -48,19 +45,14 @@ TARGETS: Tuple[Tuple[Any, str, str], ...] = (
     (repro.core.runner, "fingerprint_payload", "core.plan.fingerprint"),
     (repro.core.runner, "payload_nbytes", "obs.resources.payload_nbytes"),
     (SerialBackend, "map", "core.backends.map"),
-    (ThreadedBackend, "map", "core.backends.map"),
-    (SimSPMDBackend, "map", "core.backends.map"),
     (ProcessBackend, "map", "core.backends.map"),
     (ExecutionBackend, "map_batches", "core.backends.map_batches"),
     (ExecutionBackend, "shard_write", "core.backends.shard_write"),
-    (SimSPMDBackend, "shard_write", "core.backends.shard_write"),
     (WorkerSupervisor, "run", "workers.map"),
     (Regridder, "__call__", "transforms.regrid"),
     (repro.core.backends, "write_shard", "io.write_shard"),
     (repro.io.shards, "write_shard", "io.write_shard"),
-    (RawCodec, "compress", "io.compress"),
     (ZlibCodec, "compress", "io.compress"),
-    (LzmaCodec, "compress", "io.compress"),
     (repro.io.shards, "commit_file", "durability.commit"),
     (repro.durability.atomic, "commit_file", "durability.commit"),
     (os, "fsync", "durability.fsync"),

@@ -48,7 +48,6 @@ class Workload:
     source_params: Mapping[str, int]
     #: 0 runs ops on the serial backend, N on the process backend
     workers: int = 0
-    checkpoint: bool = False
     #: ops recover and resume a run that crashed at :data:`CRASH_AT`
     resume: bool = False
     #: per-layer counters the traced run must see non-zero on every op
@@ -61,33 +60,37 @@ WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
         Workload(
-            "climate-durable", "climate", {"n_timesteps": 480}, checkpoint=True,
+            "climate-durable", "climate", {"n_timesteps": 480},
             live=("core.runner.checkpoint_save_calls", "core.plan.fingerprint_calls",
                   "obs.resources.payload_nbytes_calls", "core.backends.map_calls",
-                  "transforms.regrid_calls", "io.write_shard_calls",
+                  "core.backends.map_batches_calls", "core.backends.shard_write_calls",
+                  "transforms.regrid_calls", "io.write_shard_calls", "io.compress_calls",
                   "durability.commit_calls", "durability.fsync_calls",
                   "durability.journal_commit_calls"),
             bypassed=("workers.fanouts", "core.runner.checkpoint_load_calls",
                       "durability.recover_calls"),
         ),
         Workload(
-            "fusion-process", "fusion", {"n_shots": 300}, workers=2, checkpoint=True,
+            "fusion-process", "fusion", {"n_shots": 300}, workers=2,
             live=("core.runner.checkpoint_save_calls", "core.plan.fingerprint_calls",
                   "obs.resources.payload_nbytes_calls", "core.backends.map_calls",
-                  "workers.fanouts", "durability.commit_calls",
-                  "durability.fsync_calls", "durability.journal_commit_calls"),
-            # shard files are written inside forked workers, out of sight
-            # of the main process's wrappers
-            bypassed=("transforms.regrid_calls", "io.write_shard_calls",
+                  "core.backends.shard_write_calls", "workers.fanouts",
+                  "durability.commit_calls", "durability.fsync_calls",
+                  "durability.journal_commit_calls"),
+            # shard files are written and compressed inside forked workers,
+            # out of sight of the main process's wrappers
+            bypassed=("transforms.regrid_calls", "core.backends.map_batches_calls",
+                      "io.write_shard_calls", "io.compress_calls",
                       "core.runner.checkpoint_load_calls", "durability.recover_calls"),
         ),
         Workload(
-            "climate-resume", "climate", {"n_timesteps": 480}, checkpoint=True,
-            resume=True,
+            "climate-resume", "climate", {"n_timesteps": 480}, resume=True,
             live=("durability.recover_calls", "core.runner.checkpoint_load_calls",
                   "core.runner.checkpoint_save_calls", "core.plan.fingerprint_calls",
-                  "io.write_shard_calls", "durability.journal_commit_calls"),
-            bypassed=("transforms.regrid_calls", "workers.fanouts"),
+                  "core.backends.shard_write_calls", "io.write_shard_calls",
+                  "io.compress_calls", "durability.journal_commit_calls"),
+            bypassed=("transforms.regrid_calls", "core.backends.map_batches_calls",
+                      "workers.fanouts"),
         ),
     )
 }
@@ -200,7 +203,7 @@ class Prepared:
         """The timed work: one pipeline run into *op_dir*."""
         w = self.workload
         shards_dir = op_dir / "shards"
-        checkpoint_dir = op_dir / "ckpt" if w.checkpoint else None
+        checkpoint_dir = op_dir / "ckpt"
         report = None
         if w.resume:
             # looked up at call time so the traced run can wrap it
@@ -257,5 +260,10 @@ def peak_rss_mb() -> float:
 
 
 def children_peak_rss_mb() -> float:
+    """Largest RSS of any child reaped so far in this process's lifetime.
+
+    The kernel keeps one running maximum over all reaped children and
+    offers no way to reset it, so this is not a per-op figure.
+    """
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6
 
