@@ -42,7 +42,8 @@ Stage functions stay pure data transforms; capture is the engine's job.
 from __future__ import annotations
 
 import dataclasses
-import json
+import enum
+import hashlib
 import os
 import pickle
 import time
@@ -62,13 +63,14 @@ from typing import (
 
 from repro.core.backends import ExecutionBackend, get_backend
 from repro.core.evidence import EvidenceKind, ReadinessEvidence
-from repro.durability.atomic import (
-    atomic_write_bytes,
-    atomic_write_text,
-    sha256_path,
-)
+from repro.durability.atomic import atomic_write_bytes
 from repro.durability.fsfaults import activate as activate_disk_faults
-from repro.durability.journal import JOURNAL_NAME, RunJournal
+from repro.durability.journal import (
+    JOURNAL_NAME,
+    SNAPSHOT_GLOB,
+    RunJournal,
+    snapshot_name,
+)
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan, fingerprint_payload
 from repro.core.report import format_bytes, render_table
@@ -89,17 +91,9 @@ from repro.provenance.record import ProvenanceRecord
 from repro.provenance.store import ProvenanceStore
 from repro.workers.drain import DrainController, DrainInterrupt
 
-
-def _sha256_text(text: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.calibrate import CalibrationStore
     from repro.sched.decision import ScheduleDecision
-
-import enum
 
 __all__ = [
     "PipelineContext",
@@ -496,8 +490,8 @@ class RunCheckpoint:
     payload: Any
     artifacts: Dict[str, Any]
     evidence: ReadinessEvidence
-    #: the full completed-stage table: index -> {stage, fingerprints}
-    completed: Dict[int, Dict[str, str]]
+    #: the journal's committed prefix: index -> its stage-commit record
+    completed: Dict[int, Dict[str, Any]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -518,42 +512,29 @@ class QuarantinedCheckpoint:
 class RunCheckpointer:
     """Persists per-stage payload snapshots so a failed run can resume.
 
-    Layout under ``directory``: one ``stage-NNN.pkl`` pickle per completed
-    stage (payload + artifacts + evidence) and a ``run-state.json`` table
-    of completed stages with their payload fingerprints, guarded by the
-    plan fingerprint.  Both payload snapshots and state writes are atomic
-    (write-then-rename), so a crash mid-save leaves the previous
-    checkpoint intact, never a torn file under the real name.  A restored
-    payload is re-fingerprinted before use — :meth:`load` rejects a
-    checkpoint that does not hash to its recorded fingerprint, while
+    Layout under ``directory``: the write-ahead :class:`RunJournal`
+    (``journal.jsonl``) — the one table of completed stages — and one
+    pickle per completed stage (payload + artifacts + evidence), the blob
+    its ``stage-commit`` record's checkpoint digest points to.  Snapshots
+    are committed atomically before their journal record is appended, so
+    a crash mid-save leaves the previous commit intact, never a torn file
+    under the real name or a commit without its blob.  A restored payload
+    is re-fingerprinted before use — :meth:`load` rejects a checkpoint
+    that does not hash to its recorded fingerprint, while
     :meth:`load_verified` quarantines it and falls back to the newest
     earlier checkpoint that still verifies.
     """
 
-    STATE_NAME = "run-state.json"
-
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def state_path(self) -> Path:
-        return self.directory / self.STATE_NAME
+        self.journal = RunJournal(self.directory / JOURNAL_NAME)
 
     def _payload_path(self, index: int) -> Path:
-        return self.directory / f"stage-{index:03d}.pkl"
-
-    def _load_state(self) -> Optional[Dict[str, Any]]:
-        if not self.state_path.exists():
-            return None
-        try:
-            return json.loads(self.state_path.read_text())
-        except json.JSONDecodeError:
-            return None
+        return self.directory / snapshot_name(index)
 
     def save(
         self,
-        plan: StagePlan,
         index: int,
         stage: PipelineStage,
         input_fingerprint: str,
@@ -561,94 +542,33 @@ class RunCheckpointer:
         payload: Any,
         context: PipelineContext,
     ) -> None:
-        """Snapshot one completed stage (payload, artifacts, evidence)."""
-        blob = {
-            "payload": payload,
-            "artifacts": dict(context.artifacts),
-            "evidence": context.evidence,
-        }
+        """Snapshot one completed stage, then journal its commit."""
+        data = pickle.dumps(
+            {
+                "payload": payload,
+                "artifacts": dict(context.artifacts),
+                "evidence": context.evidence,
+            }
+        )
         # atomic + durable: fsynced temp, rename, directory fsync — a
-        # crash mid-pickle leaves stage-NNN.pkl.tmp behind, never a torn
+        # crash mid-pickle leaves a ``.tmp`` sibling behind, never a torn
         # snapshot under the restorable name, and a committed snapshot
         # survives power loss
-        atomic_write_bytes(
-            self._payload_path(index), pickle.dumps(blob), site="checkpoint"
-        )
-        state = self._load_state()
-        if state is None or state.get("plan_fingerprint") != plan.fingerprint():
-            state = {"completed": []}
-        # a (re)run reaching stage k invalidates any stale later checkpoints
-        completed = {
-            int(row["index"]): row
-            for row in state["completed"]
-            if int(row["index"]) < index
-        }
-        completed[index] = {
-            "index": index,
-            "stage": stage.name,
-            "input_fingerprint": input_fingerprint,
-            "fingerprint": output_fingerprint,
-        }
-        self._write_state(plan, completed)
-
-    def _write_state(
-        self, plan: StagePlan, completed: Dict[int, Dict[str, Any]]
-    ) -> None:
-        """Atomically rewrite the completed-stage table (drop it if empty)."""
-        if not completed:
-            if self.state_path.exists():
-                self.state_path.unlink()
-            return
-        state = {
-            "pipeline": plan.name,
-            "plan_fingerprint": plan.fingerprint(),
-            "completed": [completed[i] for i in sorted(completed)],
-        }
-        atomic_write_text(
-            self.state_path,
-            json.dumps(state, indent=2, sort_keys=True),
-            site="run-state",
-        )
-
-    def load(self, plan: StagePlan) -> Optional[RunCheckpoint]:
-        """Restore the latest checkpoint for *plan* (None if nothing stored).
-
-        Raises :class:`CheckpointError` when a checkpoint exists but is
-        unusable: written by a structurally different plan, missing its
-        payload snapshot, or failing fingerprint verification.
-        """
-        state = self._load_state()
-        if state is None or not state.get("completed"):
-            return None
-        if state.get("plan_fingerprint") != plan.fingerprint():
-            raise CheckpointError(
-                f"checkpoint in {self.directory} was written by a different "
-                f"plan than {plan.name!r}; refusing to resume"
-            )
-        completed = {int(row["index"]): row for row in state["completed"]}
-        last_index = max(completed)
-        last = completed[last_index]
-        path = self._payload_path(last_index)
-        if not path.exists():
-            raise CheckpointError(f"missing checkpoint payload {path.name}")
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-        payload = blob["payload"]
-        actual = fingerprint_payload(payload)
-        if actual != last["fingerprint"]:
-            raise CheckpointError(
-                f"checkpoint for stage {last['stage']!r} failed fingerprint "
-                f"verification: stored {last['fingerprint'][:12]}, restored "
-                f"payload hashes to {actual[:12]}"
-            )
-        return RunCheckpoint(
-            stage_index=last_index,
-            stage_name=str(last["stage"]),
-            fingerprint=str(last["fingerprint"]),
-            payload=payload,
-            artifacts=dict(blob.get("artifacts", {})),
-            evidence=blob.get("evidence") or ReadinessEvidence(),
-            completed=completed,
+        atomic_write_bytes(self._payload_path(index), data, site="checkpoint")
+        # the commit carries content digests so recovery verifies the
+        # blobs instead of trusting them
+        artifacts = {"checkpoint": hashlib.sha256(data).hexdigest()}
+        manifest = context.artifacts.get("manifest")
+        if manifest is not None and hasattr(manifest, "to_json"):
+            artifacts["manifest"] = hashlib.sha256(
+                manifest.to_json().encode("utf-8")
+            ).hexdigest()
+        self.journal.commit_stage(
+            index=index,
+            stage=stage.name,
+            input_fingerprint=input_fingerprint,
+            output_fingerprint=output_fingerprint,
+            artifacts=artifacts,
         )
 
     def _try_restore(self, row: Dict[str, Any], path: Path):
@@ -662,44 +582,42 @@ class RunCheckpointer:
         except Exception as exc:  # torn pickle, missing key, unpicklable
             return None, f"payload snapshot is unreadable ({type(exc).__name__}: {exc})"
         actual = fingerprint_payload(payload)
-        if actual != row["fingerprint"]:
+        stored = str(row["output_fingerprint"])
+        if actual != stored:
             return None, (
-                f"fingerprint mismatch: stored {str(row['fingerprint'])[:12]}, "
+                f"fingerprint mismatch: stored {stored[:12]}, "
                 f"restored payload hashes to {actual[:12]}"
             )
         return blob, None
 
-    def load_verified(
-        self, plan: StagePlan
+    def _walk(
+        self, plan: StagePlan, *, strict: bool
     ) -> Tuple[Optional[RunCheckpoint], List[QuarantinedCheckpoint]]:
-        """Restore the newest checkpoint that survives verification.
+        """Restore the newest journal-committed stage that verifies.
 
-        Resume hardening: where :meth:`load` raises on the first corrupt
-        or fingerprint-mismatched snapshot, this walks the completed
-        stages newest-first, renames every unusable snapshot to
-        ``*.quarantined`` (preserved for post-mortem, never restored),
-        rewrites the state table to the surviving prefix, and returns the
-        last *verifiable* checkpoint plus the quarantine report.  With no
-        survivor the run starts fresh — ``(None, [quarantined...])``.
-
-        Still raises :class:`CheckpointError` for a plan-fingerprint
-        mismatch: that is a caller error, not storage corruption.
+        Walks the committed prefix newest-first; an unusable snapshot
+        raises (*strict*) or is quarantined and the walk falls back.
         """
-        state = self._load_state()
-        if state is None or not state.get("completed"):
+        replay = self.journal.last_run()
+        completed = replay.stage_commits
+        if not completed:
             return None, []
-        if state.get("plan_fingerprint") != plan.fingerprint():
+        if replay.begin.get("plan_fingerprint") != plan.fingerprint():
             raise CheckpointError(
                 f"checkpoint in {self.directory} was written by a different "
                 f"plan than {plan.name!r}; refusing to resume"
             )
-        completed = {int(row["index"]): row for row in state["completed"]}
         quarantined: List[QuarantinedCheckpoint] = []
         for index in sorted(completed, reverse=True):
             row = completed[index]
             path = self._payload_path(index)
             blob, reason = self._try_restore(row, path)
             if blob is None:
+                if strict:
+                    raise CheckpointError(
+                        f"checkpoint for stage {row['stage']!r} failed "
+                        f"verification: {reason}"
+                    )
                 qpath = ""
                 if path.exists():
                     qpath = str(path) + ".quarantined"
@@ -713,30 +631,52 @@ class RunCheckpointer:
                     )
                 )
                 continue
-            survivors = {i: r for i, r in completed.items() if i <= index}
-            if quarantined:
-                self._write_state(plan, survivors)
             return (
                 RunCheckpoint(
                     stage_index=index,
                     stage_name=str(row["stage"]),
-                    fingerprint=str(row["fingerprint"]),
+                    fingerprint=str(row["output_fingerprint"]),
                     payload=blob["payload"],
                     artifacts=dict(blob.get("artifacts", {})),
                     evidence=blob.get("evidence") or ReadinessEvidence(),
-                    completed=survivors,
+                    completed={i: r for i, r in completed.items() if i <= index},
                 ),
                 quarantined,
             )
-        self._write_state(plan, {})
         return None, quarantined
+
+    def load(self, plan: StagePlan) -> Optional[RunCheckpoint]:
+        """Restore the latest checkpoint for *plan* (None if nothing stored).
+
+        Raises :class:`CheckpointError` when a checkpoint exists but is
+        unusable: written by a structurally different plan, missing or
+        unreadable, or failing fingerprint verification.
+        """
+        return self._walk(plan, strict=True)[0]
+
+    def load_verified(
+        self, plan: StagePlan
+    ) -> Tuple[Optional[RunCheckpoint], List[QuarantinedCheckpoint]]:
+        """Restore the newest checkpoint that survives verification.
+
+        Resume hardening: where :meth:`load` raises on the first corrupt
+        or fingerprint-mismatched snapshot, this renames every unusable
+        snapshot to ``*.quarantined`` (preserved for post-mortem, never
+        restored) and returns the last *verifiable* checkpoint plus the
+        quarantine report.  With no survivor the run starts fresh —
+        ``(None, [quarantined...])``.  The resumed run's ``run-begin``
+        supersedes the quarantined commits in the journal.
+
+        Still raises :class:`CheckpointError` for a plan-fingerprint
+        mismatch: that is a caller error, not storage corruption.
+        """
+        return self._walk(plan, strict=False)
 
     def clear(self) -> None:
         """Drop all stored state (fresh-start escape hatch)."""
-        for path in self.directory.glob("stage-*.pkl"):
+        for path in self.directory.glob(SNAPSHOT_GLOB):
             path.unlink()
-        if self.state_path.exists():
-            self.state_path.unlink()
+        self.journal.path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +708,6 @@ class PipelineRunner:
         calibration_store: Optional["CalibrationStore"] = None,
         drain: Optional[DrainController] = None,
         batch_size: Optional[int] = None,
-        journal: Optional[RunJournal] = None,
         recovery_report: Optional[object] = None,
     ):
         self.plan = plan
@@ -779,11 +718,6 @@ class PipelineRunner:
         if fault_injector is not None and checkpointer is not None:
             checkpointer = fault_injector.wrap_checkpointer(checkpointer)
         self.checkpointer = checkpointer
-        #: write-ahead run journal; auto-created beside the checkpoints so
-        #: every checkpointed flow (including drain) journals for free
-        if journal is None and checkpointer is not None:
-            journal = RunJournal(Path(checkpointer.directory) / JOURNAL_NAME)
-        self.journal = journal
         #: RecoveryReport from a pre-run `repro run --recover` scan; when
         #: set, the run opens with a RUN_RECOVERED event carrying its story
         self.recovery_report = recovery_report
@@ -893,7 +827,7 @@ class PipelineRunner:
             row = checkpoint.completed.get(index)
             if row is None:
                 raise CheckpointError(
-                    f"checkpoint state has no record for stage index {index}"
+                    f"journal has no stage-commit for stage index {index}"
                 )
             stage = self.plan.stages[index]
             results.append(
@@ -902,7 +836,7 @@ class PipelineRunner:
                     processing_stage=stage.processing_stage,
                     seconds=0.0,
                     input_fingerprint=str(row["input_fingerprint"]),
-                    output_fingerprint=str(row["fingerprint"]),
+                    output_fingerprint=str(row["output_fingerprint"]),
                     evidence_recorded=0,
                     restored=True,
                 )
@@ -912,14 +846,14 @@ class PipelineRunner:
                 RunEventKind.STAGE_SKIPPED,
                 stage_name=stage.name,
                 stage_index=index,
-                fingerprint=str(row["fingerprint"]),
+                fingerprint=str(row["output_fingerprint"]),
                 detail="restored from checkpoint",
             )
             context.audit.record(
                 context.agent,
                 "stage-skipped",
                 stage.name,
-                output=str(row["fingerprint"])[:12],
+                output=str(row["output_fingerprint"])[:12],
             )
 
     # -- execution ---------------------------------------------------------------
@@ -981,11 +915,7 @@ class PipelineRunner:
                 raise PipelineError(
                     "resume requested but the runner has no checkpointer"
                 )
-            loader = getattr(self.checkpointer, "load_verified", None)
-            if loader is not None:
-                checkpoint, quarantined = loader(self.plan)
-            else:  # minimal checkpointer protocol: strict load only
-                checkpoint = self.checkpointer.load(self.plan)
+            checkpoint, quarantined = self.checkpointer.load_verified(self.plan)
 
         base = self.backend
         base.configure_retry(None, clock=self.fault_clock, stats=task_stats)
@@ -1120,7 +1050,9 @@ class PipelineRunner:
                     f"{self.plan.name}:source", [], prev_fp, None, {"role": "source"}
                 )
 
-        journal = self.journal
+        #: the write-ahead run journal lives beside the checkpoints, so
+        #: every checkpointed flow (including drain) journals for free
+        journal = self.checkpointer.journal if self.checkpointer is not None else None
 
         def _journal_count(kind: str) -> None:
             if telemetry is not None:
@@ -1580,15 +1512,13 @@ class PipelineRunner:
                         stage=stage.name,
                     ).inc()
                 error_detail = f"{type(stage_error).__name__}: {stage_error}"
+                _flush_injected(injected_mark, stage_span)
+                _flush_workers(worker_mark, counters_before, stage_span, stage.name)
                 if mode is OnError.SKIP_DEGRADED:
                     # pass the stage's input through untouched and press on;
                     # the run completes, flagged degraded, with the failure
                     # dead-lettered for re-driving
                     if telemetry is not None:
-                        _flush_injected(injected_mark, stage_span)
-                        _flush_workers(
-                            worker_mark, counters_before, stage_span, stage.name
-                        )
                         stage_span.set_attributes(
                             degraded=True, attempts=attempts, task_retries=task_retries
                         )
@@ -1600,11 +1530,6 @@ class PipelineRunner:
                             pipeline=self.plan.name,
                             stage=stage.name,
                         ).inc()
-                    else:
-                        _flush_injected(injected_mark, stage_span)
-                        _flush_workers(
-                            worker_mark, counters_before, stage_span, stage.name
-                        )
                     context.current_span = None
                     context.audit.record(
                         context.agent,
@@ -1642,10 +1567,6 @@ class PipelineRunner:
                     # re-attempt it, not restore its passed-through input
                     continue
                 if telemetry is not None:
-                    _flush_injected(injected_mark, stage_span)
-                    _flush_workers(
-                        worker_mark, counters_before, stage_span, stage.name
-                    )
                     telemetry.tracer.end_span(
                         stage_span,
                         status=SpanStatus.ERROR,
@@ -1659,11 +1580,6 @@ class PipelineRunner:
                     telemetry.metrics.counter(
                         "runs_total", pipeline=self.plan.name, status="error"
                     ).inc()
-                else:
-                    _flush_injected(injected_mark, stage_span)
-                    _flush_workers(
-                        worker_mark, counters_before, stage_span, stage.name
-                    )
                 context.current_span = None
                 context.audit.record(
                     context.agent, "stage-failed", stage.name, error=str(stage_error)
@@ -1797,29 +1713,9 @@ class PipelineRunner:
                         stage=stage.name,
                     ).inc()
             if self.checkpointer is not None:
-                self.checkpointer.save(
-                    self.plan, index, stage, prev_fp, out_fp, current, context
-                )
-                if journal is not None:
-                    # the stage-commit record is written only after the
-                    # checkpoint hit disk, carrying content digests so
-                    # recovery verifies artifacts instead of trusting them
-                    artifacts: Dict[str, str] = {}
-                    snapshot = (
-                        Path(self.checkpointer.directory) / f"stage-{index:03d}.pkl"
-                    )
-                    if snapshot.exists():
-                        artifacts["checkpoint"] = sha256_path(snapshot)
-                    manifest = context.artifacts.get("manifest")
-                    if manifest is not None and hasattr(manifest, "to_json"):
-                        artifacts["manifest"] = _sha256_text(manifest.to_json())
-                    journal.commit_stage(
-                        index=index,
-                        stage=stage.name,
-                        output_fingerprint=out_fp,
-                        artifacts=artifacts,
-                    )
-                    _journal_count("stage-commit")
+                # snapshot, then the journal's stage-commit record
+                self.checkpointer.save(index, stage, prev_fp, out_fp, current, context)
+                _journal_count("stage-commit")
             if injector is not None:
                 # post-stage crash point: the stage is fully committed
                 # (checkpoint + journal); recovery must keep it

@@ -4,15 +4,23 @@ The checkpointer snapshots payloads and the stores persist artifacts,
 but before this module nothing recorded *which* of those writes were
 committed as a unit — a driver crash left the recovery question ("what
 can I trust?") answerable only by heuristics.  The journal closes that
-gap with three durable, fsync-disciplined record types appended at run
+gap with four durable, fsync-disciplined record types appended at run
 boundaries:
 
 * ``run-begin`` — the run's identity: pipeline, plan fingerprint,
   backend, input fingerprint, and where it resumed from;
 * ``stage-commit`` — appended only *after* the stage's checkpoint hits
-  disk, carrying content digests of the committed artifacts (checkpoint
-  pickle, shard manifest) so recovery can verify rather than trust;
-* ``run-commit`` — the run finished; everything is final.
+  disk, carrying the stage's input/output fingerprints and content
+  digests of the committed artifacts (checkpoint pickle, shard manifest)
+  so recovery can verify rather than trust;
+* ``run-commit`` — the run finished; everything is final;
+* ``run-recover`` — recovery found committed stages that fail
+  verification and supersedes their commits.
+
+The journal is the *only* table of completed stages: the checkpoint
+pickles beside it (:func:`snapshot_name`) are payload blobs its
+``stage-commit`` digests point to, and resume reads its completed
+prefix from :meth:`RunJournal.last_run`.
 
 The invariant recovery relies on: **an artifact without a matching
 journal record is uncommitted and may be discarded; a journal record
@@ -40,9 +48,12 @@ __all__ = [
     "KIND_RUN_BEGIN",
     "KIND_STAGE_COMMIT",
     "KIND_RUN_COMMIT",
+    "KIND_RUN_RECOVER",
     "JOURNAL_KINDS",
     "RunJournal",
     "JournalReplay",
+    "SNAPSHOT_GLOB",
+    "snapshot_name",
 ]
 
 JOURNAL_NAME = "journal.jsonl"
@@ -50,7 +61,16 @@ JOURNAL_NAME = "journal.jsonl"
 KIND_RUN_BEGIN = "run-begin"
 KIND_STAGE_COMMIT = "stage-commit"
 KIND_RUN_COMMIT = "run-commit"
-JOURNAL_KINDS = (KIND_RUN_BEGIN, KIND_STAGE_COMMIT, KIND_RUN_COMMIT)
+KIND_RUN_RECOVER = "run-recover"
+JOURNAL_KINDS = (KIND_RUN_BEGIN, KIND_STAGE_COMMIT, KIND_RUN_COMMIT, KIND_RUN_RECOVER)
+
+#: every stage's checkpoint pickle, beside the journal
+SNAPSHOT_GLOB = "stage-*.pkl"
+
+
+def snapshot_name(index: int) -> str:
+    """File name of stage *index*'s checkpoint pickle, beside the journal."""
+    return f"stage-{index:03d}.pkl"
 
 
 class JournalReplay:
@@ -118,6 +138,7 @@ class RunJournal:
         stage: str,
         output_fingerprint: str,
         artifacts: Mapping[str, str],
+        input_fingerprint: str = "",
     ) -> None:
         """Record a stage commit; *artifacts* maps artifact name →
         sha256 content digest (e.g. ``checkpoint``, ``manifest``)."""
@@ -126,6 +147,7 @@ class RunJournal:
             {
                 "index": index,
                 "stage": stage,
+                "input_fingerprint": input_fingerprint,
                 "output_fingerprint": output_fingerprint,
                 "artifacts": dict(artifacts),
             },
@@ -133,6 +155,11 @@ class RunJournal:
 
     def commit_run(self, *, output_fingerprint: str) -> None:
         self._append(KIND_RUN_COMMIT, {"output_fingerprint": output_fingerprint})
+
+    def recover(self, *, resume_index: int) -> None:
+        """Supersede the commits at index >= *resume_index* (they failed
+        recovery's verification) without starting a new run segment."""
+        self._append(KIND_RUN_RECOVER, {"resume_index": resume_index})
 
     def _append(self, kind: str, body: Mapping[str, object]) -> None:
         record = {"schema": 1, "type": "journal", "kind": kind}
@@ -152,19 +179,19 @@ class RunJournal:
     def last_run(self) -> JournalReplay:
         """Replay the journal into the state of the most recent run.
 
-        Stage commits accumulate *across* segments: a ``run-begin`` with
-        ``resume_index=k`` supersedes commits at index >= k but keeps the
-        restored prefix below it, and committing stage k invalidates any
-        stale commits above k — mirroring the checkpointer's own
-        completed-stage table.
+        Stage commits accumulate *across* segments: a ``run-begin`` or
+        ``run-recover`` with ``resume_index=k`` supersedes commits at
+        index >= k but keeps the restored prefix below it, and committing
+        stage k invalidates any stale commits above k.
         """
         begin: Optional[Dict[str, object]] = None
         stage_commits: Dict[int, Dict[str, object]] = {}
         run_commit: Optional[Dict[str, object]] = None
         for record in self.records():
             kind = record.get("kind")
-            if kind == KIND_RUN_BEGIN:
-                begin = record
+            if kind in (KIND_RUN_BEGIN, KIND_RUN_RECOVER):
+                if kind == KIND_RUN_BEGIN:
+                    begin = record
                 resume_index = int(record.get("resume_index", 0) or 0)
                 stage_commits = {
                     index: rec

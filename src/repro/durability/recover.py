@@ -15,10 +15,12 @@ can trust, in four deterministic steps:
    verifying each recorded artifact digest against the disk (checkpoint
    pickle, shard manifest).  The first mismatch marks a torn commit:
    that stage and everything after it are discarded.
-4. **Trim the checkpoint state** — stage snapshots without a surviving
-   journal commit are deleted and ``run-state.json`` is rewritten to
-   the verified prefix, so resume restarts from the last stage that
-   provably committed.
+4. **Trim to the verified prefix** — stage snapshots without a
+   surviving journal commit are deleted, and when committed stages
+   failed verification a ``run-recover`` record supersedes their
+   commits, so resume (which reads the journal, the only table of
+   completed stages) restarts from the last stage that provably
+   committed.
 
 Everything the scanner does is observable: a ``recovery`` span plus
 ``recovery_*`` counters land in telemetry, and the returned
@@ -27,18 +29,18 @@ Everything the scanner does is observable: a ``recovery`` span plus
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.durability.atomic import (
-    atomic_write_text,
-    heal_torn_tail,
-    sha256_path,
+from repro.durability.atomic import heal_torn_tail, sha256_path
+from repro.durability.journal import (
+    JOURNAL_NAME,
+    SNAPSHOT_GLOB,
+    RunJournal,
+    snapshot_name,
 )
-from repro.durability.journal import JOURNAL_NAME, RunJournal
 
 __all__ = ["RecoveryReport", "recover_run"]
 
@@ -48,7 +50,6 @@ _PARTIAL_PATTERNS = ("*.tmp", "*.spool")
 _SNAPSHOT_RE = re.compile(r"^stage-(\d{3})\.pkl$")
 
 MANIFEST_NAME = "manifest.json"
-STATE_NAME = "run-state.json"
 
 
 @dataclass
@@ -119,9 +120,11 @@ def _heal_logs(paths: Iterable[Path], report: RecoveryReport) -> None:
             report.tails_healed[str(path)] = removed
 
 
-def _trim_state(checkpoint_dir: Path, keep: List[int], report: RecoveryReport) -> None:
-    """Delete snapshots outside the verified prefix; rewrite run-state."""
-    for snapshot in sorted(checkpoint_dir.glob("stage-*.pkl")):
+def _trim_snapshots(
+    checkpoint_dir: Path, keep: List[int], report: RecoveryReport
+) -> None:
+    """Delete the stage snapshots outside the verified prefix."""
+    for snapshot in sorted(checkpoint_dir.glob(SNAPSHOT_GLOB)):
         match = _SNAPSHOT_RE.match(snapshot.name)
         if match is None:
             continue
@@ -133,32 +136,6 @@ def _trim_state(checkpoint_dir: Path, keep: List[int], report: RecoveryReport) -
         except OSError:
             continue
         report.stages_discarded.append(index)
-    state_path = checkpoint_dir / STATE_NAME
-    if not state_path.exists():
-        return
-    try:
-        state = json.loads(state_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        state = None
-    if not isinstance(state, dict) or "completed" not in state:
-        state_path.unlink()
-        report.notes.append("run-state.json unreadable; removed")
-        return
-    completed = [
-        row
-        for row in state.get("completed", [])
-        if isinstance(row, dict) and int(row.get("index", -1)) in keep
-    ]
-    if not completed:
-        state_path.unlink()
-        return
-    if len(completed) != len(state.get("completed", [])):
-        state["completed"] = completed
-        atomic_write_text(
-            state_path,
-            json.dumps(state, indent=2, sort_keys=True),
-            site="run-state",
-        )
 
 
 def recover_run(
@@ -198,7 +175,8 @@ def recover_run(
             return report
         report.journal_found = True
 
-        replay = RunJournal(journal_path).last_run()
+        journal = RunJournal(journal_path)
+        replay = journal.last_run()
         report.run_committed = replay.run_committed
 
         verified: List[int] = []
@@ -206,7 +184,7 @@ def recover_run(
             record = replay.stage_commits[index]
             artifacts = record.get("artifacts") or {}
             ok = True
-            snapshot = checkpoint_dir / f"stage-{index:03d}.pkl"
+            snapshot = checkpoint_dir / snapshot_name(index)
             want_checkpoint = artifacts.get("checkpoint")
             if want_checkpoint:
                 if not snapshot.exists() or sha256_path(snapshot) != want_checkpoint:
@@ -231,7 +209,9 @@ def recover_run(
         report.stages_committed = verified
         report.resume_index = (verified[-1] + 1) if verified else 0
 
-        _trim_state(checkpoint_dir, verified, report)
+        _trim_snapshots(checkpoint_dir, verified, report)
+        if verified != replay.committed:
+            journal.recover(resume_index=report.resume_index)
         return report
     finally:
         if telemetry is not None:

@@ -496,7 +496,9 @@ class ChaosCheckpointer:
     :class:`~repro.core.runner.RunCheckpointer`; after a save whose stage
     index appears in ``spec.corrupt_checkpoints``, the on-disk pickle is
     truncated and bit-flipped — exactly the torn write a node crash
-    leaves behind, which resume hardening must quarantine.
+    leaves behind.  The journal committed the intact pickle's digest, so
+    recovery's digest check discards the stage, and a resume without
+    recovery quarantines it.
     """
 
     def __init__(self, inner: Any, injector: FaultInjector):
@@ -508,11 +510,11 @@ class ChaosCheckpointer:
         return self.inner.directory
 
     @property
-    def state_path(self) -> Path:
-        return self.inner.state_path
+    def journal(self) -> Any:
+        return self.inner.journal
 
-    def save(self, plan: Any, index: int, *args: Any, **kwargs: Any) -> None:
-        self.inner.save(plan, index, *args, **kwargs)
+    def save(self, index: int, *args: Any, **kwargs: Any) -> None:
+        self.inner.save(index, *args, **kwargs)
         self.injector.maybe_corrupt_checkpoint(
             self.inner._payload_path(index), index
         )

@@ -12,6 +12,7 @@ from repro.core.pipeline import RunEventKind
 from repro.domains import ClimateArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.durability.fsfaults import SimulatedCrash
+from repro.durability.journal import JOURNAL_NAME, RunJournal
 from repro.durability.recover import recover_run
 from repro.faults import FaultInjector, FaultSpec
 from repro.io.shards import MANIFEST_NAME
@@ -119,6 +120,51 @@ class TestKilledAtEveryJournalRecord:
         _kill_recover_resume(
             tmp_path, clean_reference, backend=backend, crash_at=BACKEND_CRASH_POINT
         )
+
+
+class TestJournalIsTheOnlyCommitRecord:
+    def test_plain_resume_trusts_only_journal_commits(self, tmp_path, clean_reference):
+        # the journal tears while committing stage 2, after stage 2's
+        # snapshot landed: stage 2 is uncommitted, so a plain resume (no
+        # recovery scan) must restore stage 1, not the orphaned snapshot
+        clean_result, _ = clean_reference()
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(OSError):
+            _run(tmp_path / "chaos", ckpt=ckpt, spec="eio=journal:3")
+        assert (ckpt / "stage-002.pkl").exists()
+        assert RunJournal(ckpt / JOURNAL_NAME).last_run().committed == [0, 1]
+
+        resumed, _ = _run(tmp_path / "chaos", ckpt=ckpt, resume=True)
+        assert resumed.run.resumed_from == 1
+        assert not resumed.run.quarantined
+        assert resumed.dataset.fingerprint() == clean_result.dataset.fingerprint()
+
+    def test_checkpoint_dir_holds_only_journal_and_snapshots(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        _run(tmp_path / "wd", ckpt=ckpt)
+        names = sorted(p.name for p in ckpt.iterdir())
+        assert names == [JOURNAL_NAME] + [
+            f"stage-{i:03d}.pkl" for i in range(N_STAGES)
+        ]
+
+    @pytest.mark.parametrize("index", [2, 4])
+    def test_corrupt_snapshot_discarded_by_recovery(
+        self, index, tmp_path, clean_reference
+    ):
+        # the snapshot is mangled after its commit recorded the intact
+        # digest: recovery's digest check discards it, and resume then
+        # restores the verified prefix without quarantining anything
+        report, resumed = _kill_recover_resume(
+            tmp_path,
+            clean_reference,
+            backend="serial",
+            crash_at=f"stage:{index}:post",
+            extra_spec=f"corrupt-checkpoint={index}",
+        )
+        assert index in report.stages_discarded
+        assert report.resume_index == index
+        assert resumed.run.resumed_from == index - 1
+        assert not resumed.run.quarantined
 
 
 class TestKilledWithDiskFaultsUnderneath:

@@ -119,6 +119,20 @@ class TestCrossSegmentReplay:
         _begin(journal, resume_index=1)  # a fresh (re)run of the same dir
         assert not journal.last_run().run_committed
 
+    def test_recover_record_trims_like_a_resume_begin(self, tmp_path):
+        # recovery discarded stage 1 onward: its commits are superseded,
+        # but the run's identity (the last run-begin) is kept
+        journal = _journal(tmp_path)
+        _begin(journal, fp="fp-first")
+        for i in range(3):
+            _commit(journal, i)
+        journal.commit_run(output_fingerprint="fp-final")
+        journal.recover(resume_index=1)
+        replay = journal.last_run()
+        assert replay.committed == [0]
+        assert not replay.run_committed
+        assert replay.begin["payload_fingerprint"] == "fp-first"
+
 
 class TestTornTailSurvival:
     def test_torn_last_record_is_dropped_then_healed(self, tmp_path):
