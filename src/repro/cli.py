@@ -513,6 +513,11 @@ def _cmd_run(
         ticker = ProgressTicker(reporter).start()
     from repro.workers import DrainController, DrainInterrupt
 
+    calibration_store = None
+    if calibration_dir is not None:
+        from repro.sched import CalibrationStore
+
+        calibration_store = CalibrationStore(calibration_dir)
     drain = DrainController()
     uninstall = drain.install()
     try:
@@ -531,7 +536,7 @@ def _cmd_run(
             gates=gates,
             quarantine_dir=quarantine_dir,
             plan_mode=plan_mode,
-            calibration_dir=calibration_dir,
+            calibration_store=calibration_store,
             cluster=cluster,
             drain=drain,
             batch_size=batch_size,

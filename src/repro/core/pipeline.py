@@ -1,40 +1,26 @@
-"""The pipeline engine facade: plan + backend + run behind the classic API.
+"""The pipeline engine facade: a plan plus a runner behind the classic API.
 
 The engine is layered (see DESIGN.md, "Engine architecture"):
 
 * :mod:`repro.core.plan` — :class:`StagePlan`, the declarative *what*:
   validated stage ordering, parallelism hints, payload fingerprinting;
-* :mod:`repro.core.backends` — :class:`ExecutionBackend`, the *how*:
-  serial, thread-pool, or simulated-SPMD execution of stage internals;
+* :mod:`repro.core.backends` — :class:`~repro.core.backends.ExecutionBackend`,
+  the *how*: serial, thread-pool, process or simulated-SPMD execution of
+  stage internals;
 * :mod:`repro.core.runner` — :class:`PipelineRunner`, the *doing*:
   evidence/provenance/audit capture, structured run events, checkpointed
-  resume.
+  resume, fault tolerance and data gates.
 
-This module keeps the original single-import surface: :class:`Pipeline`
-wraps a plan plus a runner, and ``Pipeline.run()`` behaves exactly as the
-old serial loop did — existing callers and tests work unchanged — while
-new keyword arguments (``backend=``, ``checkpoint_dir=``, ``resume=``,
-``on_event=``, ``retry_policy=``, ``on_error=``, ``stage_timeout=``,
-``fault_injector=``) expose the layered engine and its fault-tolerance
-controls (:mod:`repro.faults`).
+:class:`Pipeline` wraps a plan, and ``Pipeline.run(payload)`` behaves
+exactly as the original serial loop did.  Every run option is a keyword
+of :class:`PipelineRunner` and is passed through unchanged; the runner's
+docstring is the one place they are described.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence
 
-from repro.obs import Telemetry
-
-from repro.core.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    SerialBackend,
-    SimSPMDBackend,
-    ThreadedBackend,
-    get_backend,
-)
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import (
     Parallelism,
@@ -48,30 +34,11 @@ from repro.core.runner import (
     PipelineContext,
     PipelineRun,
     PipelineRunner,
-    QuarantinedCheckpoint,
     RunCheckpointer,
-    RunEvent,
     RunEventKind,
     StageResult,
 )
-from repro.faults import (
-    Clock,
-    DeadLetterLog,
-    DeadLetterRecord,
-    FaultInjector,
-    FaultSpec,
-    OnError,
-    RetryPolicy,
-)
-from repro.gates import (
-    ColumnCheck,
-    DriftCheck,
-    GatePolicy,
-    GateReport,
-    GateViolation,
-    QuarantineStore,
-    StageContract,
-)
+from repro.faults import OnError, RetryPolicy
 
 __all__ = [
     "Pipeline",
@@ -83,31 +50,12 @@ __all__ = [
     "StagePlan",
     "StageResult",
     "Parallelism",
-    "RunEvent",
     "RunEventKind",
     "RunCheckpointer",
     "CheckpointError",
-    "QuarantinedCheckpoint",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadedBackend",
-    "SimSPMDBackend",
-    "BACKENDS",
-    "get_backend",
     "fingerprint_payload",
     "OnError",
     "RetryPolicy",
-    "FaultInjector",
-    "FaultSpec",
-    "DeadLetterLog",
-    "DeadLetterRecord",
-    "GatePolicy",
-    "GateReport",
-    "GateViolation",
-    "StageContract",
-    "ColumnCheck",
-    "DriftCheck",
-    "QuarantineStore",
 ]
 
 
@@ -142,108 +90,18 @@ class Pipeline:
     def describe(self) -> str:
         return self.plan.describe()
 
-    def runner(
-        self,
-        *,
-        backend: Union[str, ExecutionBackend, None] = None,
-        checkpoint_dir: Union[str, Path, None] = None,
-        on_event: Optional[Callable[[RunEvent], None]] = None,
-        telemetry: Optional["Telemetry"] = None,
-        clock: Callable[[], float] = time.time,
-        retry_policy: Optional[RetryPolicy] = None,
-        on_error: Union[OnError, str, None] = None,
-        stage_timeout: Optional[float] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        fault_clock: Optional[Clock] = None,
-        gates: Union[GatePolicy, str, None] = None,
-        quarantine_dir: Union[str, Path, None] = None,
-        quarantine_store: Optional[QuarantineStore] = None,
-        calibration_store: Any = None,
-        drain: Any = None,
-        batch_size: Optional[int] = None,
-        recovery_report: Any = None,
-    ) -> PipelineRunner:
-        """A configured :class:`PipelineRunner` for this pipeline's plan."""
-        return PipelineRunner(
-            self.plan,
-            backend=backend,
-            checkpoint_dir=checkpoint_dir,
-            on_event=on_event,
-            telemetry=telemetry,
-            clock=clock,
-            retry_policy=retry_policy,
-            on_error=on_error,
-            stage_timeout=stage_timeout,
-            fault_injector=fault_injector,
-            fault_clock=fault_clock,
-            gates=gates,
-            quarantine_dir=quarantine_dir,
-            quarantine_store=quarantine_store,
-            calibration_store=calibration_store,
-            drain=drain,
-            batch_size=batch_size,
-            recovery_report=recovery_report,
-        )
-
     def run(
         self,
         payload: Any,
         context: Optional[PipelineContext] = None,
         *,
-        backend: Union[str, ExecutionBackend, None] = None,
-        checkpoint_dir: Union[str, Path, None] = None,
         resume: bool = False,
-        on_event: Optional[Callable[[RunEvent], None]] = None,
-        telemetry: Optional["Telemetry"] = None,
-        clock: Callable[[], float] = time.time,
-        retry_policy: Optional[RetryPolicy] = None,
-        on_error: Union[OnError, str, None] = None,
-        stage_timeout: Optional[float] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        fault_clock: Optional[Clock] = None,
-        gates: Union[GatePolicy, str, None] = None,
-        quarantine_dir: Union[str, Path, None] = None,
-        quarantine_store: Optional[QuarantineStore] = None,
-        calibration_store: Any = None,
-        drain: Any = None,
-        batch_size: Optional[int] = None,
-        recovery_report: Any = None,
+        **options: Any,
     ) -> PipelineRun:
         """Execute all stages; provenance is captured per transition.
 
-        Without keyword arguments this matches the historical serial
-        behaviour.  ``backend`` selects an execution backend (name or
-        instance), ``checkpoint_dir`` enables per-stage checkpoints,
-        ``resume=True`` restarts after the last *verifiable* checkpointed
-        stage (quarantining corrupt snapshots) instead of re-running the
-        whole plan, and ``telemetry`` attaches a
-        :class:`~repro.obs.Telemetry` collector (spans, metrics, resource
-        profiles for every stage and backend task).  ``retry_policy``,
-        ``on_error``, and ``stage_timeout`` set run-wide fault-tolerance
-        defaults (stages override via their own fields), and
-        ``fault_injector`` runs the whole engine under seeded chaos.
-        ``gates`` turns on data-contract enforcement at stage boundaries
-        (``"fail"`` / ``"quarantine"`` / ``"warn"``; see
-        :mod:`repro.gates`), with quarantined records persisted under
-        ``quarantine_dir``.
+        ``options`` are :class:`PipelineRunner` keywords (backend,
+        checkpointing, telemetry, fault tolerance, gates, drain, ...);
+        without any, this matches the historical serial behaviour.
         """
-        runner = self.runner(
-            backend=backend,
-            checkpoint_dir=checkpoint_dir,
-            on_event=on_event,
-            telemetry=telemetry,
-            clock=clock,
-            retry_policy=retry_policy,
-            on_error=on_error,
-            stage_timeout=stage_timeout,
-            fault_injector=fault_injector,
-            fault_clock=fault_clock,
-            gates=gates,
-            quarantine_dir=quarantine_dir,
-            quarantine_store=quarantine_store,
-            calibration_store=calibration_store,
-            drain=drain,
-            batch_size=batch_size,
-            recovery_report=recovery_report,
-        )
-        return runner.run(payload, context, resume=resume)
+        return PipelineRunner(self.plan, **options).run(payload, context, resume=resume)

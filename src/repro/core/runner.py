@@ -55,6 +55,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NoReturn,
     Optional,
     Sequence,
     Tuple,
@@ -685,7 +686,52 @@ class RunCheckpointer:
 
 
 class PipelineRunner:
-    """Drives a :class:`StagePlan` through a backend with capture and resume."""
+    """Drives a :class:`StagePlan` through a backend with capture and resume.
+
+    The keyword-only parameters below are the engine's run options — the
+    one table of them.  :meth:`repro.core.pipeline.Pipeline.run` and
+    :meth:`repro.domains.base.DomainArchetype.run` pass theirs through
+    unchanged, so a misspelled option raises :class:`TypeError` here.
+
+    * ``backend`` — execution backend name or instance for stage
+      internals (``ctx.backend``); default serial.
+    * ``checkpoint_dir`` / ``checkpointer`` — per-stage payload snapshots
+      plus the write-ahead journal (:class:`RunCheckpointer`), enabling
+      ``run(resume=True)``.
+    * ``recovery_report`` — the report of a pre-run recovery scan
+      (``repro run --recover``); the run opens with a RUN_RECOVERED event
+      carrying its summary.
+    * ``on_event`` — receives every :class:`RunEvent` as it happens (e.g.
+      a :class:`~repro.obs.ProgressReporter`).
+    * ``telemetry`` — a :class:`~repro.obs.Telemetry` collector: run and
+      stage spans, backend task spans, metrics, resource profiles.
+    * ``clock`` — wall-clock source stamped onto every event; inject a
+      fake (monotonic) clock to pin timestamps and event ordering.
+    * ``retry_policy`` / ``on_error`` / ``stage_timeout`` — run-wide
+      fault-tolerance defaults; stages override them via their own
+      fields.  With no ``on_error`` anywhere a stage retries iff a retry
+      policy is set, else fails fast.  ``stage_timeout`` is a per-stage
+      budget in seconds on the fault clock.
+    * ``fault_injector`` — runs the whole engine (backend, checkpoints,
+      disk) under seeded chaos (:mod:`repro.faults`).
+    * ``fault_clock`` — the clock retry backoff sleeps and deadlines run
+      on; defaults to the injector's clock, else the system clock.
+      Virtual in tests so retries never wall-sleep.
+    * ``gates`` — data-contract enforcement at stage boundaries
+      (``"fail"``/``"quarantine"``/``"warn"``, see :mod:`repro.gates`);
+      ``None`` leaves every stage contract dormant.  Quarantined records
+      go to ``quarantine_store`` or a store under ``quarantine_dir``.
+    * ``calibration_store`` — where a scheduled run records its
+      predicted-vs-actual stage seconds (:mod:`repro.sched.calibrate`).
+    * ``drain`` — a :class:`~repro.workers.drain.DrainController`; when it
+      trips, the run stops at the next checkpoint-consistent point (a
+      stage boundary, or mid-stage on drain-capable backends) and raises
+      :class:`~repro.workers.drain.DrainInterrupt`.
+    * ``batch_size`` — records per batch for stages that declared
+      ``batch=True``; wins over the schedule decision's ``batch_records``,
+      and ``None`` with no schedule keeps the per-record path.  Batched
+      and per-record runs are bitwise identical.
+    """
 
     def __init__(
         self,
@@ -718,46 +764,24 @@ class PipelineRunner:
         if fault_injector is not None and checkpointer is not None:
             checkpointer = fault_injector.wrap_checkpointer(checkpointer)
         self.checkpointer = checkpointer
-        #: RecoveryReport from a pre-run `repro run --recover` scan; when
-        #: set, the run opens with a RUN_RECOVERED event carrying its story
         self.recovery_report = recovery_report
         self.on_event = on_event
         self.telemetry = telemetry
-        #: wall-clock source stamped onto every RunEvent; inject a fake
-        #: (monotonic) clock to pin timestamps and test event ordering
         self.clock = clock
-        #: run-wide retry default; stages override via PipelineStage.retry
         self.retry_policy = retry_policy
-        #: run-wide error policy; None defers to per-stage policies, then
-        #: to RETRY iff a retry policy is set, else FAIL
         self.on_error = OnError.coerce(on_error) if on_error is not None else None
-        #: run-wide per-stage deadline budget (seconds on the fault clock)
         self.stage_timeout = stage_timeout
-        #: clock that retry backoff sleeps and deadline budgets run on —
-        #: virtual in tests so retries never wall-sleep
         if fault_clock is None:
             fault_clock = (
                 fault_injector.clock if fault_injector is not None else SystemClock()
             )
         self.fault_clock = fault_clock
-        #: data-gate verdict policy; None disables gating entirely —
-        #: stage contracts are dormant until a policy turns them on
         self.gate_policy = GatePolicy.coerce(gates) if gates is not None else None
         if quarantine_store is None and quarantine_dir is not None:
             quarantine_store = QuarantineStore(quarantine_dir)
         self.quarantine_store = quarantine_store
-        #: where a scheduled run's predicted-vs-actual stage seconds are
-        #: recorded (see :mod:`repro.sched.calibrate`); None = no feedback
         self.calibration_store = calibration_store
-        #: cooperative stop flag (SIGINT/SIGTERM or programmatic): when it
-        #: trips, the run stops at the next checkpoint-consistent point —
-        #: a stage boundary, or mid-stage on drain-capable backends — and
-        #: raises :class:`~repro.workers.drain.DrainInterrupt`
         self.drain = drain
-        #: records per batch for stages that declared ``batch=True``; an
-        #: explicit value wins over the schedule decision's
-        #: ``batch_records``, and ``None`` with no schedule leaves those
-        #: stages on the per-record path (bitwise identical either way)
         self.batch_size = batch_size
 
     def _stage_policy(
@@ -1023,6 +1047,138 @@ class PipelineRunner:
                     "checkpoints_quarantined_total", pipeline=self.plan.name
                 ).inc()
 
+        #: where the stage in flight began in the injector log and the
+        #: supervisor's crash/counter records; the flushes report from here
+        injected_mark = len(injector.log) if injector is not None else 0
+        worker_mark = len(base.crash_events) if supervised else 0
+        counters_before = dict(base.worker_counters) if supervised else {}
+
+        def _flush_injected(span: Optional[Span]) -> None:
+            """Surface this stage's realised injections as span events/counters."""
+            if injector is None:
+                return
+            for fault in injector.log[injected_mark:]:
+                if span is not None:
+                    span.add_event(
+                        "fault_injected",
+                        kind=fault.kind,
+                        site=fault.site,
+                        attempt=fault.attempt,
+                        detail=fault.detail,
+                    )
+                if telemetry is not None:
+                    telemetry.metrics.counter(
+                        "faults_injected_total",
+                        pipeline=self.plan.name,
+                        kind=fault.kind,
+                    ).inc()
+
+        _WORKER_METRICS = {
+            "worker_restarts": "worker_restarts_total",
+            "leases_expired": "leases_expired_total",
+            "tasks_requeued": "tasks_requeued_total",
+            "poison_tasks": "poison_tasks_total",
+        }
+
+        def _flush_workers(span: Optional[Span], stage_name: Optional[str]) -> None:
+            """Surface this stage's worker crashes as span events/counters."""
+            if not supervised:
+                return
+            for crash in base.crash_events[worker_mark:]:
+                if span is not None:
+                    span.add_event(
+                        "worker_crash",
+                        worker=crash.worker_id,
+                        reason=crash.reason,
+                        task=crash.task_id,
+                        attempt=crash.attempt,
+                        requeued=crash.requeued,
+                    )
+            if telemetry is not None:
+                for key, metric in _WORKER_METRICS.items():
+                    delta = base.worker_counters.get(key, 0) - counters_before.get(key, 0)
+                    if delta:
+                        telemetry.metrics.counter(
+                            metric, pipeline=self.plan.name, stage=stage_name
+                        ).inc(delta)
+                telemetry.metrics.gauge(
+                    "worker_heartbeat_gap_seconds", pipeline=self.plan.name
+                ).set(base.heartbeat_gap_max)
+
+        def _fail(
+            exc: BaseException,
+            status: str,
+            stage_name: Optional[str],
+            index: Optional[int],
+            stage_span: Optional[Span],
+            *,
+            run_error: str,
+            audit: Tuple[str, Dict[str, Any]],
+            emit: Sequence[Tuple[RunEventKind, Dict[str, Any]]],
+            span_error: str = "",
+            cause: Optional[BaseException] = None,
+        ) -> NoReturn:
+            """The one way a run ends in error: gate, stage, drain or restore.
+
+            Flushes the stage's fault and worker telemetry, ends the stage
+            and run spans in ERROR, ticks ``runs_total{status}``, audits,
+            emits *emit*, and raises *exc* carrying the event log, dead
+            letters and worker supervision state.
+            """
+            _flush_injected(stage_span)
+            _flush_workers(stage_span, stage_name)
+            if telemetry is not None:
+                if stage_span is not None:
+                    telemetry.tracer.end_span(
+                        stage_span, status=SpanStatus.ERROR, error=span_error
+                    )
+                telemetry.tracer.end_span(
+                    run_span, status=SpanStatus.ERROR, error=run_error
+                )
+                telemetry.metrics.counter(
+                    "runs_total", pipeline=self.plan.name, status=status
+                ).inc()
+            context.current_span = None
+            action, fields = audit
+            context.audit.record(
+                context.agent, action, stage_name or self.plan.name, **fields
+            )
+            for kind, kw in emit:
+                self._emit(events, kind, stage_name=stage_name, stage_index=index, **kw)
+            exc.stage_name = stage_name  # type: ignore[attr-defined]
+            exc.stage_index = index  # type: ignore[attr-defined]
+            exc.events = events  # type: ignore[attr-defined]
+            exc.dead_letters = dead_letters  # type: ignore[attr-defined]
+            exc.worker_crashes = (  # type: ignore[attr-defined]
+                list(base.crash_events) if supervised else []
+            )
+            exc.worker_counters = (  # type: ignore[attr-defined]
+                dict(base.worker_counters) if supervised else {}
+            )
+            if cause is not None:
+                raise exc from cause
+            raise exc
+
+        def _interrupt(
+            exc: DrainInterrupt,
+            stage_name: str,
+            index: int,
+            stage_span: Optional[Span],
+        ) -> NoReturn:
+            """End the run after a drain; the last checkpoint is the resume point."""
+            detail = str(exc) or "drain requested"
+            _fail(
+                exc,
+                "interrupted",
+                stage_name,
+                index,
+                stage_span,
+                span_error=detail,
+                run_error="run interrupted (drain)",
+                audit=("run-interrupted", {"detail": detail}),
+                emit=[(RunEventKind.RUN_INTERRUPTED, {"detail": detail})],
+            )
+
         start_index = 0
         resumed_from: Optional[int] = None
         current = payload
@@ -1030,11 +1186,16 @@ class PipelineRunner:
             try:
                 self._restore(checkpoint, context, events, results)
             except CheckpointError as exc:
-                if telemetry is not None:
-                    telemetry.tracer.end_span(
-                        run_span, status=SpanStatus.ERROR, error=str(exc)
-                    )
-                raise
+                _fail(
+                    exc,
+                    "error",
+                    None,
+                    None,
+                    None,
+                    run_error=str(exc),
+                    audit=("run-failed", {"error": str(exc)}),
+                    emit=[(RunEventKind.RUN_FAILED, {"detail": str(exc)})],
+                )
             current = checkpoint.payload
             prev_fp = checkpoint.fingerprint
             start_index = checkpoint.stage_index + 1
@@ -1072,112 +1233,6 @@ class PipelineRunner:
                 resume_index=start_index,
             )
             _journal_count("run-begin")
-
-        def _flush_injected(mark: int, span: Optional[Span]) -> None:
-            """Surface this stage's realised injections as span events/counters."""
-            if injector is None:
-                return
-            for fault in injector.log[mark:]:
-                if span is not None:
-                    span.add_event(
-                        "fault_injected",
-                        kind=fault.kind,
-                        site=fault.site,
-                        attempt=fault.attempt,
-                        detail=fault.detail,
-                    )
-                if telemetry is not None:
-                    telemetry.metrics.counter(
-                        "faults_injected_total",
-                        pipeline=self.plan.name,
-                        kind=fault.kind,
-                    ).inc()
-
-        _WORKER_METRICS = {
-            "worker_restarts": "worker_restarts_total",
-            "leases_expired": "leases_expired_total",
-            "tasks_requeued": "tasks_requeued_total",
-            "poison_tasks": "poison_tasks_total",
-        }
-
-        def _flush_workers(
-            mark: int,
-            before: Dict[str, int],
-            span: Optional[Span],
-            stage_name: str,
-        ) -> None:
-            """Surface this stage's worker crashes as span events/counters."""
-            if not supervised:
-                return
-            for crash in base.crash_events[mark:]:
-                if span is not None:
-                    span.add_event(
-                        "worker_crash",
-                        worker=crash.worker_id,
-                        reason=crash.reason,
-                        task=crash.task_id,
-                        attempt=crash.attempt,
-                        requeued=crash.requeued,
-                    )
-            if telemetry is not None:
-                for key, metric in _WORKER_METRICS.items():
-                    delta = base.worker_counters.get(key, 0) - before.get(key, 0)
-                    if delta:
-                        telemetry.metrics.counter(
-                            metric, pipeline=self.plan.name, stage=stage_name
-                        ).inc(delta)
-                telemetry.metrics.gauge(
-                    "worker_heartbeat_gap_seconds", pipeline=self.plan.name
-                ).set(base.heartbeat_gap_max)
-
-        def _interrupt(
-            exc: DrainInterrupt,
-            stage_name: Optional[str],
-            stage_index: Optional[int],
-            stage_span: Optional[Span],
-        ) -> None:
-            """Wind the run down after a drain: spans, metrics, audit, raise.
-
-            The last completed stage's checkpoint is already on disk (saves
-            are atomic), so ``--resume`` continues bitwise-faithfully.
-            """
-            detail = str(exc) or "drain requested"
-            if telemetry is not None:
-                if stage_span is not None:
-                    telemetry.tracer.end_span(
-                        stage_span, status=SpanStatus.ERROR, error=detail
-                    )
-                telemetry.tracer.end_span(
-                    run_span, status=SpanStatus.ERROR, error="run interrupted (drain)"
-                )
-                telemetry.metrics.counter(
-                    "runs_total", pipeline=self.plan.name, status="interrupted"
-                ).inc()
-            context.current_span = None
-            context.audit.record(
-                context.agent,
-                "run-interrupted",
-                stage_name or self.plan.name,
-                detail=detail,
-            )
-            self._emit(
-                events,
-                RunEventKind.RUN_INTERRUPTED,
-                stage_name=stage_name,
-                stage_index=stage_index,
-                detail=detail,
-            )
-            exc.stage_name = stage_name
-            exc.stage_index = stage_index
-            exc.events = events  # type: ignore[attr-defined]
-            exc.dead_letters = dead_letters  # type: ignore[attr-defined]
-            exc.worker_crashes = (  # type: ignore[attr-defined]
-                list(base.crash_events) if supervised else []
-            )
-            exc.worker_counters = (  # type: ignore[attr-defined]
-                dict(base.worker_counters) if supervised else {}
-            )
-            raise exc
 
         def _record_gate(report: GateReport, stage: PipelineStage, span) -> None:
             """Flow one gate verdict into telemetry, audit, and the event log."""
@@ -1224,11 +1279,9 @@ class PipelineRunner:
         ) -> Tuple[Any, Optional[GateReport]]:
             """Enforce one boundary's contract; returns the surviving payload.
 
-            A ``fail`` verdict tears the run down exactly like a stage
-            failure: spans end in ERROR, ``runs_total{status=error}``
-            ticks, GATE_FAILED/RUN_FAILED fire, and the raised
-            :class:`PipelineError` carries the event log, dead letters,
-            and the failing :class:`GateReport`.
+            A ``fail`` verdict ends the run through :func:`_fail` with
+            GATE_FAILED/RUN_FAILED; the raised :class:`PipelineError` also
+            carries the failing :class:`GateReport`.
             """
             contract = (
                 stage.input_contract if boundary == "input" else stage.output_contract
@@ -1249,43 +1302,23 @@ class PipelineRunner:
                 report = exc.report
                 _record_gate(report, stage, stage_span)
                 error_detail = str(exc)
-                if telemetry is not None:
-                    telemetry.tracer.end_span(
-                        stage_span, status=SpanStatus.ERROR, error=error_detail
-                    )
-                    telemetry.tracer.end_span(
-                        run_span,
-                        status=SpanStatus.ERROR,
-                        error=f"gate failed at stage {stage.name!r}",
-                    )
-                    telemetry.metrics.counter(
-                        "runs_total", pipeline=self.plan.name, status="error"
-                    ).inc()
-                context.current_span = None
-                context.audit.record(
-                    context.agent, "gate-failed", stage.name, error=error_detail
-                )
-                self._emit(
-                    events,
-                    RunEventKind.GATE_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=error_detail,
-                )
-                self._emit(
-                    events,
-                    RunEventKind.RUN_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=error_detail,
-                )
-                error = PipelineError(
-                    error_detail, stage_name=stage.name, stage_index=index
-                )
-                error.events = events  # type: ignore[attr-defined]
-                error.dead_letters = dead_letters  # type: ignore[attr-defined]
+                error = PipelineError(error_detail)
                 error.gate_report = report  # type: ignore[attr-defined]
-                raise error from exc
+                _fail(
+                    error,
+                    "error",
+                    stage.name,
+                    index,
+                    stage_span,
+                    span_error=error_detail,
+                    run_error=f"gate failed at stage {stage.name!r}",
+                    audit=("gate-failed", {"error": error_detail}),
+                    emit=[
+                        (RunEventKind.GATE_FAILED, {"detail": error_detail}),
+                        (RunEventKind.RUN_FAILED, {"detail": error_detail}),
+                    ],
+                    cause=exc,
+                )
             report = outcome.report
             _record_gate(report, stage, stage_span)
             for entry, record in outcome.quarantined:
@@ -1318,6 +1351,9 @@ class PipelineRunner:
 
         for index in range(start_index, len(self.plan.stages)):
             stage = self.plan.stages[index]
+            injected_mark = len(injector.log) if injector is not None else 0
+            worker_mark = len(base.crash_events) if supervised else 0
+            counters_before = dict(base.worker_counters) if supervised else {}
             if self.drain is not None and self.drain.requested:
                 # boundary drain: the previous stage's checkpoint is the
                 # resume point; this stage never starts
@@ -1395,9 +1431,6 @@ class PipelineRunner:
             )
             retry_key = f"{self.plan.name}:{stage.name}"
             task_before = task_stats.retries
-            injected_mark = len(injector.log) if injector is not None else 0
-            worker_mark = len(base.crash_events) if supervised else 0
-            counters_before = dict(base.worker_counters) if supervised else {}
             attempts = 0
             elapsed = 0.0
             stage_error: Optional[BaseException] = None
@@ -1487,8 +1520,6 @@ class PipelineRunner:
                     "task_retries_total", pipeline=self.plan.name, stage=stage.name
                 ).inc(task_retries)
             if drain_exc is not None:
-                _flush_injected(injected_mark, stage_span)
-                _flush_workers(worker_mark, counters_before, stage_span, stage.name)
                 _interrupt(drain_exc, stage.name, index, stage_span)
             if stage_error is not None:
                 fault_kind = classify_fault(stage_error)
@@ -1512,12 +1543,12 @@ class PipelineRunner:
                         stage=stage.name,
                     ).inc()
                 error_detail = f"{type(stage_error).__name__}: {stage_error}"
-                _flush_injected(injected_mark, stage_span)
-                _flush_workers(worker_mark, counters_before, stage_span, stage.name)
                 if mode is OnError.SKIP_DEGRADED:
                     # pass the stage's input through untouched and press on;
                     # the run completes, flagged degraded, with the failure
                     # dead-lettered for re-driving
+                    _flush_injected(stage_span)
+                    _flush_workers(stage_span, stage.name)
                     if telemetry is not None:
                         stage_span.set_attributes(
                             degraded=True, attempts=attempts, task_retries=task_retries
@@ -1566,47 +1597,27 @@ class PipelineRunner:
                     # no checkpoint for a degraded stage: a resume must
                     # re-attempt it, not restore its passed-through input
                     continue
-                if telemetry is not None:
-                    telemetry.tracer.end_span(
-                        stage_span,
-                        status=SpanStatus.ERROR,
-                        error=error_detail,
-                    )
-                    telemetry.tracer.end_span(
-                        run_span,
-                        status=SpanStatus.ERROR,
-                        error=f"stage {stage.name!r} failed",
-                    )
-                    telemetry.metrics.counter(
-                        "runs_total", pipeline=self.plan.name, status="error"
-                    ).inc()
-                context.current_span = None
-                context.audit.record(
-                    context.agent, "stage-failed", stage.name, error=str(stage_error)
+                _fail(
+                    PipelineError(f"stage {stage.name!r} failed: {stage_error}"),
+                    "error",
+                    stage.name,
+                    index,
+                    stage_span,
+                    span_error=error_detail,
+                    run_error=f"stage {stage.name!r} failed",
+                    audit=("stage-failed", {"error": str(stage_error)}),
+                    emit=[
+                        (
+                            RunEventKind.STAGE_FAILED,
+                            {
+                                "seconds": elapsed,
+                                "detail": f"{error_detail} (after {attempts} attempts)",
+                            },
+                        ),
+                        (RunEventKind.RUN_FAILED, {"detail": str(stage_error)}),
+                    ],
+                    cause=stage_error,
                 )
-                self._emit(
-                    events,
-                    RunEventKind.STAGE_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    seconds=elapsed,
-                    detail=f"{error_detail} (after {attempts} attempts)",
-                )
-                self._emit(
-                    events,
-                    RunEventKind.RUN_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=str(stage_error),
-                )
-                error = PipelineError(
-                    f"stage {stage.name!r} failed: {stage_error}",
-                    stage_name=stage.name,
-                    stage_index=index,
-                )
-                error.events = events  # type: ignore[attr-defined]
-                error.dead_letters = dead_letters  # type: ignore[attr-defined]
-                raise error from stage_error
             output_report: Optional[GateReport] = None
             if gate_policy is not None and stage.output_contract is not None:
                 current, output_report = _gate(
@@ -1618,8 +1629,8 @@ class PipelineRunner:
             out_fp = fingerprint_payload(current)
             out_items = payload_items(current)
             out_bytes = payload_nbytes(current)
-            _flush_injected(injected_mark, stage_span)
-            _flush_workers(worker_mark, counters_before, stage_span, stage.name)
+            _flush_injected(stage_span)
+            _flush_workers(stage_span, stage.name)
             if telemetry is not None:
                 delta = profiler.stop()
                 items_per_s = throughput(out_items, elapsed)

@@ -28,9 +28,7 @@ from repro.core.assessment import ReadinessAssessment, ReadinessAssessor
 from repro.core.dataset import Dataset
 from repro.core.levels import DataProcessingStage, DOMAIN_STAGE_VERBS
 from repro.core.pipeline import Pipeline, PipelineContext, PipelineRun
-from repro.faults import Clock, FaultInjector, RetryPolicy
 from repro.io.shards import ShardManifest
-from repro.obs import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched import CalibrationStore, ScheduleDecision
@@ -114,43 +112,18 @@ class DomainArchetype(abc.ABC):
         assessor: Optional[ReadinessAssessor] = None,
         source_params: Optional[Dict[str, Any]] = None,
         pipeline_options: Optional[Dict[str, Any]] = None,
-        backend: Any = None,
-        checkpoint_dir: Union[str, Path, None] = None,
-        resume: bool = False,
-        on_event: Any = None,
-        telemetry: Optional["Telemetry"] = None,
-        retry_policy: Optional["RetryPolicy"] = None,
-        on_error: Any = None,
-        stage_timeout: Optional[float] = None,
-        fault_injector: Optional["FaultInjector"] = None,
-        fault_clock: Optional["Clock"] = None,
-        gates: Any = None,
-        quarantine_dir: Union[str, Path, None] = None,
         plan_mode: str = "fixed",
         calibration_store: Optional["CalibrationStore"] = None,
-        calibration_dir: Union[str, Path, None] = None,
         cluster: Any = None,
-        drain: Any = None,
-        batch_size: Optional[int] = None,
-        recovery_report: Any = None,
+        backend: Any = None,
+        **options: Any,
     ) -> ArchetypeResult:
         """Synthesize a source, run the pipeline, assess, detect challenges.
 
-        ``backend`` (a name or :class:`ExecutionBackend` instance) selects
-        how data-parallel stage internals execute; ``checkpoint_dir`` and
-        ``resume`` enable checkpointed restart of a previously failed run;
-        ``telemetry`` attaches a :class:`~repro.obs.Telemetry` collector so
-        the run produces spans, metrics, and resource profiles;
-        ``on_event`` receives every structured
-        :class:`~repro.core.runner.RunEvent` as the run progresses (e.g.
-        a :class:`~repro.obs.ProgressReporter`);
-        ``retry_policy``/``on_error``/``stage_timeout`` set run-wide
-        fault-tolerance defaults, and ``fault_injector`` runs the pipeline
-        under seeded chaos (see :mod:`repro.faults`).  ``gates`` enables
-        data-contract enforcement (``"fail"``/``"quarantine"``/``"warn"``)
-        against the contracts the domain pipeline declares, with
-        quarantined records persisted under ``quarantine_dir`` (see
-        :mod:`repro.gates`).
+        ``options`` (checkpointing, telemetry, events, fault tolerance,
+        gates, drain, batching, ...) are :class:`~repro.core.runner.PipelineRunner`
+        keywords, passed to :meth:`Pipeline.run` unchanged; see the
+        runner for what each one does.
 
         ``plan_mode="auto"`` closes the cost-model loop (see
         :mod:`repro.sched`): the plan's workload is estimated from the
@@ -158,19 +131,11 @@ class DomainArchetype(abc.ABC):
         candidate is priced through the scaling model, and the
         predicted-fastest feasible configuration is executed — the
         resulting :class:`~repro.sched.ScheduleDecision` rides in the run
-        events, spans, and shard manifest.  ``calibration_store`` (or
-        ``calibration_dir``) feeds observed stage timings back into the
-        next prediction; ``cluster`` names the modelled machine
-        (``"workstation"``/``"commodity"``/``"leadership"`` or a
-        :class:`~repro.parallel.cluster.ClusterSpec`).  An explicit
-        ``backend=`` always wins over the chooser.
-
-        ``batch_size`` sets records-per-batch for stages that declared
-        the ``batch`` capability (see
-        :meth:`~repro.core.backends.ExecutionBackend.map_batches`);
-        ``None`` defers to the schedule decision's ``batch_records``
-        under ``plan_mode="auto"`` and stays per-record otherwise.
-        Batched and per-record runs are bitwise identical by contract.
+        events, spans, and shard manifest.  ``calibration_store`` feeds
+        observed stage timings back into the next prediction; ``cluster``
+        names the modelled machine (``"workstation"``/``"commodity"``/
+        ``"leadership"`` or a :class:`~repro.parallel.cluster.ClusterSpec`).
+        An explicit ``backend=`` always wins over the chooser.
         """
         work_dir = Path(work_dir)
         source_dir = work_dir / "source"
@@ -181,10 +146,6 @@ class DomainArchetype(abc.ABC):
         decision: Optional["ScheduleDecision"] = None
         if plan_mode not in ("fixed", "auto"):
             raise ValueError(f"unknown plan_mode {plan_mode!r} (use 'fixed' or 'auto')")
-        if calibration_store is None and calibration_dir is not None:
-            from repro.sched import CalibrationStore
-
-            calibration_store = CalibrationStore(calibration_dir)
         if plan_mode == "auto":
             from repro.sched import (
                 build_backend,
@@ -207,21 +168,8 @@ class DomainArchetype(abc.ABC):
             source_manifest,
             context,
             backend=backend,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            on_event=on_event,
-            telemetry=telemetry,
-            retry_policy=retry_policy,
-            on_error=on_error,
-            stage_timeout=stage_timeout,
-            fault_injector=fault_injector,
-            fault_clock=fault_clock,
-            gates=gates,
-            quarantine_dir=quarantine_dir,
             calibration_store=calibration_store,
-            drain=drain,
-            batch_size=batch_size,
-            recovery_report=recovery_report,
+            **options,
         )
         dataset = context.artifacts.get("dataset")
         if not isinstance(dataset, Dataset):

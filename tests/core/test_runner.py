@@ -14,6 +14,7 @@ from repro.core.pipeline import (
     RunEventKind,
     StagePlan,
 )
+from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore
 
 S = DataProcessingStage
@@ -284,12 +285,26 @@ class TestCheckpointResume:
         runner.run(np.ones(2))
         # a store that never saw this run
         empty_store = ProvenanceStore(tmp_path / "other.jsonl")
-        with pytest.raises(CheckpointError, match="not an\\s+entity"):
+        telemetry = Telemetry()
+        seen = []
+        runner = PipelineRunner(
+            plan,
+            checkpoint_dir=tmp_path / "ckpt",
+            telemetry=telemetry,
+            on_event=seen.append,
+        )
+        with pytest.raises(CheckpointError, match="not an\\s+entity") as info:
             runner.run(
                 np.ones(2),
                 PipelineContext(provenance_store=empty_store),
                 resume=True,
             )
+        # a failed restore ends the run like any other failure
+        assert [e.kind for e in seen][-1] is RunEventKind.RUN_FAILED
+        assert telemetry.metrics.value(
+            "runs_total", pipeline=plan.name, status="error"
+        ) == 1
+        assert info.value.events == seen
 
     def test_checkpointer_clear(self, tmp_path):
         checkpointer = RunCheckpointer(tmp_path)

@@ -283,3 +283,56 @@ class TestCheckpointHardening:
         assert [e["name"] for e in events] == ["retry"]
         assert events[0]["attempt"] == 1
         assert "TimeoutError" in events[0]["error"]
+
+
+class TestFailedRunTelemetry:
+    def test_output_gate_failure_keeps_fault_telemetry(self):
+        """A failing output gate still reports the stage's injected faults."""
+        from repro.faults import FaultInjector, FaultSpec
+        from repro.gates import ColumnCheck, StageContract
+
+        def fan_out(payload, ctx):
+            return ctx.backend.map(lambda r: {"t": r["t"] * 2.0}, payload)
+
+        records = [{"t": np.full(3, float(i))} for i in range(8)]
+        records[5] = {"t": np.array([1.0, np.nan, 2.0])}
+        plan = StagePlan.build("p", [
+            PipelineStage(
+                "fan",
+                S.TRANSFORM,
+                fan_out,
+                output_contract=StageContract(
+                    "t", checks=(ColumnCheck("finite", "t"),)
+                ),
+            ),
+        ])
+        telemetry = Telemetry()
+        injector = FaultInjector(
+            FaultSpec(seed=3, transient_rate=0.5), clock=VirtualClock()
+        )
+        with pytest.raises(PipelineError) as info:
+            PipelineRunner(
+                plan,
+                retry_policy=RetryPolicy(max_attempts=8, seed=0),
+                fault_injector=injector,
+                telemetry=telemetry,
+                gates="fail",
+            ).run(records)
+        assert info.value.gate_report.verdict == "fail"
+        injected = len(injector.log)
+        assert injected > 0
+        counted = sum(
+            row["value"]
+            for row in telemetry.metrics.snapshot()
+            if row["name"] == "faults_injected_total"
+        )
+        assert counted == injected
+        spans = {s.name: s for s in telemetry.tracer.finished_spans()}
+        fault_events = [
+            e for e in spans["stage:fan"].events if e["name"] == "fault_injected"
+        ]
+        assert len(fault_events) == injected
+        assert [e.kind for e in info.value.events][-2:] == [
+            RunEventKind.GATE_FAILED,
+            RunEventKind.RUN_FAILED,
+        ]
