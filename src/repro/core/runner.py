@@ -64,7 +64,7 @@ from typing import (
 
 from repro.core.backends import ExecutionBackend, get_backend
 from repro.core.evidence import EvidenceKind, ReadinessEvidence
-from repro.durability.atomic import atomic_write_bytes
+from repro.durability.atomic import atomic_write_pickle
 from repro.durability.fsfaults import activate as activate_disk_faults
 from repro.durability.journal import (
     JOURNAL_NAME,
@@ -516,14 +516,17 @@ class RunCheckpointer:
     Layout under ``directory``: the write-ahead :class:`RunJournal`
     (``journal.jsonl``) — the one table of completed stages — and one
     pickle per completed stage (payload + artifacts + evidence), the blob
-    its ``stage-commit`` record's checkpoint digest points to.  Snapshots
-    are committed atomically before their journal record is appended, so
-    a crash mid-save leaves the previous commit intact, never a torn file
-    under the real name or a commit without its blob.  A restored payload
-    is re-fingerprinted before use — :meth:`load` rejects a checkpoint
-    that does not hash to its recorded fingerprint, while
-    :meth:`load_verified` quarantines it and falls back to the newest
-    earlier checkpoint that still verifies.
+    its ``stage-commit`` record's checkpoint digest points to.  A
+    snapshot is a protocol-5 pickle streamed straight into its temp file
+    (array buffers are written from their own memory, not copied), and
+    the checkpoint digest — the sha256 of the file's bytes — is taken in
+    the same pass.  Snapshots are committed atomically before their
+    journal record is appended, so a crash mid-save leaves the previous
+    commit intact, never a torn file under the real name or a commit
+    without its blob.  A restored payload is re-fingerprinted before use
+    — :meth:`load` rejects a checkpoint that does not hash to its
+    recorded fingerprint, while :meth:`load_verified` quarantines it and
+    falls back to the newest earlier checkpoint that still verifies.
     """
 
     def __init__(self, directory: Union[str, Path]):
@@ -544,21 +547,24 @@ class RunCheckpointer:
         context: PipelineContext,
     ) -> None:
         """Snapshot one completed stage, then journal its commit."""
-        data = pickle.dumps(
+        # atomic + durable: a protocol-5 pickle streamed into an fsynced
+        # temp file, renamed, directory fsynced — an error mid-pickle
+        # removes the temp file, a kill leaves it as a ``.tmp`` sibling,
+        # neither leaves a torn snapshot under the restorable name, and a
+        # committed snapshot survives power loss.  The file's sha256 is
+        # taken in the same pass as the write.
+        snapshot_digest = atomic_write_pickle(
+            self._payload_path(index),
             {
                 "payload": payload,
                 "artifacts": dict(context.artifacts),
                 "evidence": context.evidence,
-            }
+            },
+            site="checkpoint",
         )
-        # atomic + durable: fsynced temp, rename, directory fsync — a
-        # crash mid-pickle leaves a ``.tmp`` sibling behind, never a torn
-        # snapshot under the restorable name, and a committed snapshot
-        # survives power loss
-        atomic_write_bytes(self._payload_path(index), data, site="checkpoint")
         # the commit carries content digests so recovery verifies the
         # blobs instead of trusting them
-        artifacts = {"checkpoint": hashlib.sha256(data).hexdigest()}
+        artifacts = {"checkpoint": snapshot_digest}
         manifest = context.artifacts.get("manifest")
         if manifest is not None and hasattr(manifest, "to_json"):
             artifacts["manifest"] = hashlib.sha256(

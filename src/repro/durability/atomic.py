@@ -6,11 +6,15 @@ the second needs the full fsync discipline — flush and fsync the temp
 file, rename it over the final name, then fsync the parent directory so
 the rename itself is durable.  Before this module, six stores each did
 some subset of that dance (most skipped fsync entirely); now they all
-call the same three functions:
+call the same few functions:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — whole-file commit: tmp + fsync +
   ``os.replace`` + dir fsync;
+* :func:`atomic_write_pickle` — the same commit for a pickled object,
+  streamed at protocol 5 straight into the temp file (array buffers are
+  written from their own memory, never copied into one ``bytes``) and
+  sha256-hashed in the same pass;
 * :func:`commit_file` — the same commit for callers (like the streaming
   shard writer) that build their own temp file;
 * :func:`append_jsonl_durable` — append-only logs: heal any torn tail
@@ -27,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -39,6 +44,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
+    "atomic_write_pickle",
     "heal_torn_tail",
     "append_jsonl_durable",
     "sha256_path",
@@ -92,6 +98,13 @@ def commit_file(tmp: PathLike, final: PathLike, *, site: str = "artifact") -> No
     fsync_dir(final.parent)
 
 
+def _unlink_quietly(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass
+
+
 def atomic_write_bytes(path: PathLike, data: bytes, *, site: str = "artifact") -> Path:
     """Commit *data* under *path* atomically and durably."""
     path = Path(path)
@@ -103,13 +116,49 @@ def atomic_write_bytes(path: PathLike, data: bytes, *, site: str = "artifact") -
             fh.flush()
         commit_file(tmp, path, site=site)
     except BaseException:
-        if tmp.exists():
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        _unlink_quietly(tmp)
         raise
     return path
+
+
+class _HashingSink:
+    """File-like ``write`` target that hashes every chunk it passes on."""
+
+    __slots__ = ("fh", "digest")
+
+    def __init__(self, fh, digest) -> None:
+        self.fh = fh
+        self.digest = digest
+
+    def write(self, chunk) -> int:
+        self.digest.update(chunk)
+        return self.fh.write(chunk)
+
+
+def atomic_write_pickle(path: PathLike, obj: object, *, site: str) -> str:
+    """Pickle *obj* under *path* atomically and durably; return its sha256.
+
+    The pickle is protocol 5 streamed into the temp file: the pickler
+    hands each contiguous array buffer to ``write`` as a view of the
+    array's own memory, so no serialised copy of the object is ever
+    built.  Each chunk is hashed on its way to the file, so the returned
+    hex digest is the sha256 of the committed file's bytes without a
+    second pass.  The commit is :func:`commit_file` at *site*, as for
+    :func:`atomic_write_bytes`; on any failure the temp file is removed.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            pickle.dump(obj, _HashingSink(fh, digest), protocol=5)
+            fh.flush()
+        commit_file(tmp, path, site=site)
+    except BaseException:
+        _unlink_quietly(tmp)
+        raise
+    return digest.hexdigest()
 
 
 def atomic_write_text(

@@ -31,12 +31,20 @@ def fingerprint_bytes(data: bytes) -> str:
 
 
 def fingerprint_array(array: np.ndarray) -> str:
-    """Content hash of one array (dtype + shape + bytes)."""
+    """Content hash of one array (dtype + shape + bytes).
+
+    The bytes are hashed through a flat ``uint8`` view of the contiguous
+    array, so no copy is made; object arrays, which cannot be viewed as
+    bytes, fall back to ``tobytes()``.
+    """
     array = np.ascontiguousarray(array)
     digest = hashlib.sha256()
     digest.update(array.dtype.str.encode())
     digest.update(repr(array.shape).encode())
-    digest.update(array.tobytes())
+    if array.dtype.hasobject:
+        digest.update(array.tobytes())
+    else:
+        digest.update(array.reshape(-1).view(np.uint8))
     return digest.hexdigest()
 
 

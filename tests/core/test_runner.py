@@ -14,6 +14,9 @@ from repro.core.pipeline import (
     RunEventKind,
     StagePlan,
 )
+from repro.durability.atomic import sha256_path
+from repro.durability.journal import JOURNAL_NAME, RunJournal
+from repro.faults import FaultInjector, FaultSpec
 from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore
 
@@ -325,3 +328,128 @@ class TestCheckpointResume:
         checkpoint = runner.checkpointer.load(plan)
         assert checkpoint.stage_index == 2
         assert sorted(checkpoint.completed) == [0, 1, 2]
+
+
+def _three_stage_plan(middle=doubler):
+    return StagePlan.build("p", [
+        PipelineStage("a", S.INGEST, doubler),
+        PipelineStage("b", S.TRANSFORM, middle),
+        PipelineStage("c", S.SHARD, doubler),
+    ])
+
+
+def _assert_only_stage_zero_committed(ckpt, plan):
+    """The failed save left no temp file, no commit, and stage 0 intact."""
+    assert not list(ckpt.glob("*.tmp"))
+    assert sorted(p.name for p in ckpt.glob("stage-*.pkl")) == ["stage-000.pkl"]
+    commits = RunJournal(ckpt / JOURNAL_NAME).last_run().stage_commits
+    assert sorted(commits) == [0]
+    assert commits[0]["artifacts"]["checkpoint"] == sha256_path(ckpt / "stage-000.pkl")
+    assert RunCheckpointer(ckpt).load(plan).stage_index == 0
+
+
+class TestCheckpointSnapshots:
+    def test_snapshot_is_protocol5_with_matching_journal_digest(self, tmp_path):
+        PipelineRunner(_three_stage_plan(), checkpoint_dir=tmp_path).run(np.ones(8))
+        commits = RunJournal(tmp_path / JOURNAL_NAME).last_run().stage_commits
+        assert sorted(commits) == [0, 1, 2]
+        for index, record in commits.items():
+            path = tmp_path / f"stage-{index:03d}.pkl"
+            assert path.read_bytes()[:2] == b"\x80\x05"
+            assert record["artifacts"]["checkpoint"] == sha256_path(path)
+
+    def test_save_streams_without_copying_the_payload(self, tmp_path):
+        import tracemalloc
+
+        payload = np.arange(4 * 1024 * 1024, dtype=np.float64)  # 32 MB
+        checkpointer = RunCheckpointer(tmp_path)
+        stage = PipelineStage("a", S.INGEST, passthrough)
+        context = PipelineContext()
+        tracemalloc.start()
+        try:
+            checkpointer.save(0, stage, "in", "out", payload, context)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+
+    def test_restored_array_keeps_dtype_values_and_writeability(self, tmp_path):
+        plan = StagePlan.build("p", [
+            PipelineStage("a", S.INGEST, lambda p, c: p.astype(np.float32) * 2),
+        ])
+        run = PipelineRunner(plan, checkpoint_dir=tmp_path).run(np.arange(6.0))
+        restored = RunCheckpointer(tmp_path).load(plan).payload
+        assert restored.dtype == np.float32
+        np.testing.assert_array_equal(restored, run.payload)
+        assert restored.flags.writeable
+        restored[0] = -1.0  # usable in place, like the array it replaces
+
+    def test_protocol4_snapshot_from_older_writer_still_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        import hashlib
+        import pickle
+
+        import repro.core.runner as runner_module
+        from repro.durability.atomic import atomic_write_bytes
+        from repro.durability.recover import recover_run
+
+        def write_protocol4(path, obj, *, site):
+            data = pickle.dumps(obj, protocol=4)
+            atomic_write_bytes(path, data, site=site)
+            return hashlib.sha256(data).hexdigest()
+
+        calls = []
+        plan = StagePlan.build("p", [
+            PipelineStage("a", S.INGEST, doubler),
+            PipelineStage("b", S.TRANSFORM, lambda p, c: calls.append("b") or p + 1),
+        ])
+        failing = StagePlan.build("p", [
+            plan.stages[0],
+            PipelineStage("b", S.TRANSFORM, lambda p, c: (_ for _ in ()).throw(
+                RuntimeError("disk full"))),
+        ])
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_module, "atomic_write_pickle", write_protocol4)
+            with pytest.raises(PipelineError):
+                PipelineRunner(failing, checkpoint_dir=tmp_path).run(np.ones(3))
+        assert (tmp_path / "stage-000.pkl").read_bytes()[:2] == b"\x80\x04"
+
+        report = recover_run(tmp_path)
+        assert report.stages_committed == [0]
+        assert report.stages_discarded == []
+        resumed = PipelineRunner(plan, checkpoint_dir=tmp_path).run(
+            np.ones(3), resume=True
+        )
+        assert resumed.resumed_from == 0
+        assert calls == ["b"]
+        np.testing.assert_array_equal(resumed.payload, np.ones(3) * 2 + 1)
+
+    @pytest.mark.parametrize("kind", ["eio", "enospc"])
+    def test_disk_fault_at_checkpoint_site_keeps_previous_commit(
+        self, tmp_path, kind
+    ):
+        plan = _three_stage_plan()
+        # checkpoint op 1 is stage b's save: one guarded op per save
+        injector = FaultInjector(FaultSpec.parse(f"{kind}=checkpoint:1"))
+        with pytest.raises(OSError):
+            PipelineRunner(
+                plan, checkpoint_dir=tmp_path, fault_injector=injector
+            ).run(np.ones(4))
+        assert [entry[:2] for entry in injector.disk_injector.log] == [
+            (kind, "checkpoint")
+        ]
+        _assert_only_stage_zero_committed(tmp_path, plan)
+
+    def test_unpicklable_artifact_keeps_previous_commit(self, tmp_path):
+        import threading
+
+        def leaks_a_lock(payload, ctx):
+            ctx.add_artifact("lock", threading.Lock())
+            return payload * 2
+
+        plan = _three_stage_plan(middle=leaks_a_lock)
+        # the payload streams to the temp file before the lock is reached
+        with pytest.raises(TypeError, match="pickle"):
+            PipelineRunner(plan, checkpoint_dir=tmp_path).run(np.ones(100_000))
+        _assert_only_stage_zero_committed(tmp_path, plan)

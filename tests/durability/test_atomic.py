@@ -1,14 +1,19 @@
 """The atomic-commit primitive and its disk-fault mechanics."""
 
+import hashlib
 import json
 import os
+import pickle
+import threading
 
+import numpy as np
 import pytest
 
 from repro.durability.atomic import (
     append_jsonl_durable,
     atomic_write_bytes,
     atomic_write_json,
+    atomic_write_pickle,
     atomic_write_text,
     commit_file,
     heal_torn_tail,
@@ -58,6 +63,44 @@ class TestAtomicWrite:
         path = tmp_path / "x"
         path.write_bytes(b"abc" * 1000)
         assert sha256_path(path) == hashlib.sha256(b"abc" * 1000).hexdigest()
+
+
+class TestAtomicWritePickle:
+    def test_returns_sha256_of_committed_protocol5_file(self, tmp_path):
+        path = tmp_path / "snap.pkl"
+        obj = {"payload": np.arange(100_000, dtype="f8"), "note": "x"}
+        digest = atomic_write_pickle(path, obj, site="checkpoint")
+        data = path.read_bytes()
+        assert data.startswith(b"\x80\x05")
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.pkl"]
+        restored = pickle.loads(data)
+        np.testing.assert_array_equal(restored["payload"], obj["payload"])
+        assert restored["note"] == "x"
+
+    def test_error_mid_pickle_removes_tmp_and_keeps_previous(self, tmp_path):
+        path = tmp_path / "snap.pkl"
+        atomic_write_pickle(path, {"v": 1}, site="checkpoint")
+        before = path.read_bytes()
+        # the array is streamed before the lock refuses to pickle
+        obj = {"payload": np.ones(50_000), "lock": threading.Lock()}
+        with pytest.raises(TypeError):
+            atomic_write_pickle(path, obj, site="checkpoint")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.pkl"]
+
+    @pytest.mark.parametrize("kind", ["enospc", "eio"])
+    def test_disk_fault_at_site_removes_tmp(self, tmp_path, kind):
+        path = tmp_path / "snap.pkl"
+        atomic_write_pickle(path, {"v": 1}, site="checkpoint")
+        before = path.read_bytes()
+        injector = _one_fault(kind, site="checkpoint", index=0)
+        with activate(injector):
+            with pytest.raises(OSError):
+                atomic_write_pickle(path, {"v": np.ones(1000)}, site="checkpoint")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.pkl"]
+        assert injector.log == [(kind, "checkpoint", 0)]
 
 
 class TestTornTailHealing:

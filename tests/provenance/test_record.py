@@ -1,6 +1,9 @@
 """Provenance records and fingerprints."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.provenance.record import (
     ProvenanceRecord,
@@ -38,6 +41,49 @@ class TestFingerprints:
 
     def test_bytes_hash(self):
         assert len(fingerprint_bytes(b"abc")) == 64
+
+
+def _tobytes_fingerprint(array):
+    """The original recipe: sha256(dtype.str + repr(shape) + tobytes())."""
+    array = np.ascontiguousarray(array)
+    digest = hashlib.sha256()
+    digest.update(array.dtype.str.encode())
+    digest.update(repr(array.shape).encode())
+    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+_GRID = np.arange(24, dtype="f8").reshape(4, 6)
+
+
+class TestFingerprintStability:
+    """Checkpoint and provenance fingerprints must not change when the
+    hashing stops copying the array."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            _GRID,
+            _GRID.astype("f4"),
+            _GRID[:, ::2],  # non-contiguous slice
+            np.array(3.5),  # 0-d
+            np.zeros((0, 3)),  # empty
+            np.array(["2020-01-01", "2021-02-03"], dtype="M8[D]"),
+            np.array([b"ab", b"cd", b"e"], dtype="S2"),
+            np.array([1, "x", None], dtype=object),  # cannot be viewed
+        ],
+        ids=["f8", "f4", "strided", "0d", "empty", "M8[D]", "S2", "object"],
+    )
+    def test_matches_tobytes_recipe(self, array):
+        assert fingerprint_array(array) == _tobytes_fingerprint(array)
+
+    def test_pinned_digests(self):
+        assert fingerprint_array(np.arange(12, dtype="f8").reshape(3, 4)) == (
+            "d4ae31ff45bce77fbf92e74ac94582d505599cec10a38f29107316a7ef72c2cd"
+        )
+        assert fingerprint_array(
+            np.array(["2020-01-01", "2021-02-03"], dtype="M8[D]")
+        ) == "40be3127684b57405d387fa2df4fb6adbc2f82b96bb221e61189e8e72912667c"
 
 
 class TestRecord:
